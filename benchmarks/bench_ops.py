@@ -32,6 +32,7 @@ from repro.data.synthetic_images import ImageConfig, make_image_dataset
 from repro.experiments.grid import GridSpec, scenario_scope
 from repro.experiments.protocol import Scenario
 from repro.models import MLP, ModelFactory
+from repro.nn import BatchNorm2d
 from repro.nn import functional as F
 from repro.nn.losses import cross_entropy
 from repro.ops import profile_ops
@@ -53,6 +54,7 @@ def _tensor(shape, scale=1.0):
 def _op_cases():
     """(case label, op names to report, forward builder) triples."""
     conv_x, conv_w = _tensor((32, 16, 10, 10)), _tensor((32, 16, 3, 3), 0.1)
+    norm = BatchNorm2d(16)
     mat_a, mat_b = _tensor((64, 256)), _tensor((256, 256), 0.1)
     wide = _tensor((64, 4096))
     logits = _tensor((256, 100))
@@ -68,6 +70,8 @@ def _op_cases():
          lambda: F.conv2d(conv_x, conv_w, None, padding=1)),
         ("max_pool2d 32x16x10x10 k2", ("max_pool2d",),
          lambda: F.max_pool2d(conv_x, 2)),
+        ("batch_norm 32x16x10x10 train", ("batch_norm",),
+         lambda: norm(conv_x)),
     ]
 
 

@@ -3,9 +3,10 @@
 Convolution and pooling are single registry ops (rather than compositions
 of Tensor primitives) because they dominate training time; their backward
 kernels are hand-derived and covered by finite-difference tests.  The
-kernels live in :mod:`repro.ops.conv` and reuse pooled im2col workspaces
-(:mod:`repro.ops.workspace`), so the hot patch-matrix allocation is made
-once per shape rather than once per call.
+kernels live in :mod:`repro.ops.conv`: each convolution is one dispatch
+that applies its own zero padding (no separate pad op on the tape) and
+reuses pooled im2col workspaces (:mod:`repro.ops.workspace`), so the hot
+patch-matrix allocation is made once per shape rather than once per call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from repro.tensor import Tensor, apply
-from repro.tensor.ops import pad1d, pad2d
 
 
 def conv2d(
@@ -26,14 +26,12 @@ def conv2d(
     padding: int = 0,
 ) -> Tensor:
     """2D convolution over NCHW input with an (F, C, KH, KW) kernel."""
-    if padding:
-        x = pad2d(x, padding)
     c = x.shape[1]
     c_w = weight.shape[1]
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {c_w}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply("conv2d", inputs, stride=stride)
+    return apply("conv2d", inputs, stride=stride, padding=padding)
 
 
 def conv1d(
@@ -44,14 +42,12 @@ def conv1d(
     padding: int = 0,
 ) -> Tensor:
     """1D convolution over (N, C, L) input — the TextCNN workhorse."""
-    if padding:
-        x = pad1d(x, padding)
     c = x.shape[1]
     c_w = weight.shape[1]
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {c_w}")
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply("conv1d", inputs, stride=stride)
+    return apply("conv1d", inputs, stride=stride, padding=padding)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:

@@ -1,17 +1,21 @@
 """Convolution and pooling kernels with pooled im2col workspaces.
 
-Padding is *not* handled here: the :mod:`repro.nn.functional` wrappers
-apply the (differentiable) ``pad1d``/``pad2d`` ops first, exactly as the
-pre-registry implementation did, so the autograd graph and arithmetic are
-unchanged.  The im2col patch matrix — the hottest allocation in training —
-is checked out of :mod:`repro.ops.workspace` and recorded in
-``ctx.workspaces``; the tensor dispatcher returns it to the pool after
-backward (or immediately when untaped).
+The convolution kernels own their zero padding: ``padding=p`` builds the
+padded input as a fresh ``np.zeros`` plus one interior copy, and the
+input gradient is folded onto the padded shape and returned as its
+interior view.  That is value-for-value what a separate ``pad`` op and
+its sliced backward computed, without the extra graph node.  The im2col
+patch matrix — the hottest allocation in training — is one copy from a
+``sliding_window_view`` into a buffer checked out of
+:mod:`repro.ops.workspace` and recorded in ``ctx.workspaces``; the tensor
+dispatcher returns it to the pool after backward (or immediately when
+untaped).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.ops import workspace
 from repro.ops.registry import register
@@ -19,6 +23,23 @@ from repro.ops.registry import register
 
 def _conv_output_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
+
+
+def _interior(x: np.ndarray, padding: int) -> tuple:
+    """Index of the unpadded interior of ``x``'s trailing spatial axes."""
+    return (slice(None), slice(None)) + tuple(
+        slice(padding, size - padding) for size in x.shape[2:])
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the trailing spatial axes of (N, C, ...) input."""
+    if not padding:
+        return x
+    padded = np.zeros(x.shape[:2] + tuple(size + 2 * padding
+                                          for size in x.shape[2:]),
+                      dtype=x.dtype)
+    padded[_interior(padded, padding)] = x
+    return padded
 
 
 def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
@@ -31,31 +52,33 @@ def _im2col_pooled(x: np.ndarray, kh: int, kw: int, stride: int):
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
     buffer = workspace.acquire((n, c, kh, kw, out_h, out_w), x.dtype)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            buffer[:, :, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    np.copyto(buffer,
+              windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3))
     return buffer.reshape(n, c * kh * kw, out_h * out_w), buffer
 
 
-def _col2im(cols, x_shape, kh, kw, stride):
-    """Fold patch columns back onto the input, summing overlaps."""
-    n, c, h, w = x_shape
+def _col2im(cols, padded_shape, kh, kw, stride, padding):
+    """Fold patch columns back onto the padded input, summing overlaps.
+
+    Returns the gradient of the unpadded input (a view of the interior).
+    """
+    n, c, h, w = padded_shape
     out_h = _conv_output_size(h, kh, stride)
     out_w = _conv_output_size(w, kw, stride)
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    x = np.zeros(x_shape, dtype=cols.dtype)
+    x = np.zeros(padded_shape, dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
             x[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
-    return x
+    return x[_interior(x, padding)]
 
 
-def _conv2d_forward(ctx, x, weight, *rest, stride):
+def _conv2d_forward(ctx, x, weight, *rest, stride, padding=0):
     bias = rest[0] if rest else None
+    x = _pad(x, padding)
     n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
     out_h = _conv_output_size(h, kh, stride)
@@ -71,13 +94,13 @@ def _conv2d_forward(ctx, x, weight, *rest, stride):
     ctx.cols = cols
     ctx.w_mat = w_mat
     ctx.weight_shape = weight.shape
-    ctx.x_shape = (n, c, h, w)
-    ctx.dims = (n, f, out_h, out_w, kh, kw, stride)
+    ctx.padded_shape = (n, c, h, w)
+    ctx.dims = (n, f, out_h, out_w, kh, kw, stride, padding)
     return out.reshape(n, f, out_h, out_w)
 
 
 def _conv2d_backward(ctx, g):
-    n, f, out_h, out_w, kh, kw, stride = ctx.dims
+    n, f, out_h, out_w, kh, kw, stride, padding = ctx.dims
     needs = ctx.needs
     g_mat = np.ascontiguousarray(g.reshape(n, f, out_h * out_w))
     grad_b = g_mat.sum(axis=(0, 2)) if len(needs) > 2 and needs[2] else None
@@ -88,14 +111,15 @@ def _conv2d_backward(ctx, g):
     grad_x = None
     if needs[0]:
         grad_cols = ctx.w_mat.T @ g_mat
-        grad_x = _col2im(grad_cols, ctx.x_shape, kh, kw, stride)
+        grad_x = _col2im(grad_cols, ctx.padded_shape, kh, kw, stride, padding)
     if len(needs) > 2:
         return (grad_x, grad_w, grad_b)
     return (grad_x, grad_w)
 
 
-def _conv1d_forward(ctx, x, weight, *rest, stride):
+def _conv1d_forward(ctx, x, weight, *rest, stride, padding=0):
     bias = rest[0] if rest else None
+    x = _pad(x, padding)
     n, c, length = x.shape
     f, _, k = weight.shape
     out_l = _conv_output_size(length, k, stride)
@@ -113,12 +137,12 @@ def _conv1d_forward(ctx, x, weight, *rest, stride):
     ctx.cols = cols
     ctx.w_mat = w_mat
     ctx.weight_shape = weight.shape
-    ctx.dims = (n, c, length, f, k, out_l, stride)
+    ctx.dims = (n, c, length, f, k, out_l, stride, padding)
     return out
 
 
 def _conv1d_backward(ctx, g):
-    n, c, length, f, k, out_l, stride = ctx.dims
+    n, c, length, f, k, out_l, stride, padding = ctx.dims
     needs = ctx.needs
     g = np.ascontiguousarray(g)
     grad_b = g.sum(axis=(0, 2)) if len(needs) > 2 and needs[2] else None
@@ -132,6 +156,7 @@ def _conv1d_backward(ctx, g):
         grad_x = np.zeros((n, c, length), dtype=g.dtype)
         for i in range(k):
             grad_x[:, :, i:i + stride * out_l:stride] += grad_cols[:, :, i]
+        grad_x = grad_x[_interior(grad_x, padding)]
     if len(needs) > 2:
         return (grad_x, grad_w, grad_b)
     return (grad_x, grad_w)

@@ -381,7 +381,11 @@ class Tensor:
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        # The 1/count scale takes this tensor's float dtype, so float32
+        # data stays float32 whatever the library default is.
+        dtype = self.dtype if self.dtype.kind == "f" else default_dtype()
+        scale = np.asarray(1.0 / count, dtype=dtype)
+        return self.sum(axis=axis, keepdims=keepdims) * scale
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         return apply("max", (self,), axis=axis, keepdims=keepdims)

@@ -10,9 +10,11 @@ buffers) that the float64-pinned rest of the suite cannot see.
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.models import MLP
 from repro.nn.losses import cross_entropy
-from repro.tensor import Tensor, default_dtype, dtype_scope, set_default_dtype
+from repro.tensor import (Tensor, default_dtype, dtype_scope, sanitize_mode,
+                          set_default_dtype)
 
 
 class TestPolicy:
@@ -78,3 +80,39 @@ class TestFloat32EndToEnd:
             x = Tensor(data.astype(np.float32), requires_grad=True)
             assert softmax(x, axis=1).data.dtype == np.float32
             assert log_softmax(x, axis=1).data.dtype == np.float32
+
+
+class TestDataDtypeBeatsDefault:
+    """float32 data under a float64 default must not be promoted.
+
+    Scalars a layer builds itself (``Tensor.mean``'s ``1/count``,
+    BatchNorm's ``eps``) take the data's dtype; built in the default
+    dtype they silently upcast float32 activations to float64, which
+    the sanitizer reports as dtype drift.
+    """
+
+    def test_mean_keeps_float32(self):
+        assert default_dtype() == np.float64
+        x = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
+        with sanitize_mode():
+            out = x.mean(axis=0)
+            out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float32_batch_norm_passes_sanitizer(self, training):
+        with dtype_scope(np.float32):
+            bn = nn.BatchNorm1d(3)
+        bn.train(training)
+        assert default_dtype() == np.float64
+        x = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3),
+                   requires_grad=True)
+        with sanitize_mode():
+            out = bn(x)
+            out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert x.grad.dtype == np.float32
+        assert bn.gamma.grad.dtype == np.float32
+        assert bn._buffers["running_mean"].dtype == np.float32
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor, apply, gradcheck
 from repro.tensor.ops import (
     concatenate,
     l2norm,
@@ -124,6 +124,35 @@ class TestStructuralGrads:
         condition = RNG.random((3, 3)) > 0.5
         assert gradcheck(lambda a, b: where(condition, a, b),
                          [t((3, 3)), t((3, 3))])
+
+
+def _batch_norm(x, gamma, beta, axes, running=None):
+    return apply("batch_norm", (x, x, gamma, beta), axes=axes, eps=1e-5,
+                 running=running)
+
+
+class TestBatchNormGrads:
+    """The ``batch_norm`` kernel w.r.t. x, gamma and beta, both modes."""
+
+    @pytest.mark.parametrize("shape,axes", [((6, 3), (0,)),
+                                            ((3, 2, 3, 3), (0, 2, 3))],
+                             ids=["1d", "2d"])
+    def test_train(self, shape, axes):
+        channels = shape[1]
+        assert gradcheck(lambda a, g, b: _batch_norm(a, g, b, axes),
+                         [t(shape), t((channels,), positive=True),
+                          t((channels,))], atol=1e-4)
+
+    @pytest.mark.parametrize("shape,axes", [((6, 3), (0,)),
+                                            ((3, 2, 3, 3), (0, 2, 3))],
+                             ids=["1d", "2d"])
+    def test_eval(self, shape, axes):
+        channels = shape[1]
+        running = (RNG.normal(size=channels),
+                   RNG.uniform(0.5, 2.0, size=channels))
+        assert gradcheck(lambda a, g, b: _batch_norm(a, g, b, axes, running),
+                         [t(shape), t((channels,), positive=True),
+                          t((channels,))])
 
 
 class TestSoftmaxFamilyGrads:
