@@ -23,44 +23,15 @@ import os
 
 from _common import emit, write_json
 
-from repro.analysis import format_table
-from repro.experiments.serve_chaos import ChaosConfig, run_chaos_suite
-from repro.experiments.serve_overload import run_overload_suite
-
-
-def _render(payload: dict, chaos: dict) -> str:
-    rows = []
-    for cell in payload["cells"]:
-        rows.append([
-            f"{cell['load_factor']:.1f}x",
-            "resilient" if cell["resilient"] else "baseline",
-            f"{cell['rate']:.0f}",
-            f"{cell['goodput_rps']:.0f}",
-            f"{cell['latency_ms']['p50']:.1f}",
-            f"{cell['latency_ms']['p99']:.1f}",
-            str(cell["shed"]),
-            str(cell["brownout_batches"]),
-        ])
-    table = format_table(
-        ["load", "mode", "offered rps", "goodput rps", "p50 ms",
-         "p99 ms", "shed", "brownout batches"], rows)
-    capacity = payload["capacity"]
-    lines = [
-        table, "",
-        f"capacity: {capacity['measured_rps']:.0f} rps measured "
-        f"({capacity['analytic_rps']:.0f} analytic)",
-        f"p99 bound: {payload['p99_bound_ms']:.1f} ms; goodput floor: "
-        f"{payload['goodput_floor_rps']:.0f} rps",
-        "acceptance: " + ", ".join(
-            f"{name}={'ok' if value else 'FAIL'}"
-            for name, value in payload["acceptance"].items()),
-        f"chaos: {chaos['schedules']} schedules, "
-        f"{chaos['total_submitted']} requests, {chaos['total_shed']} shed, "
-        f"{chaos['total_member_deaths']} member deaths — "
-        + ("all invariants held" if chaos["ok"]
-           else f"FAILED seeds {chaos['failed_seeds']}"),
-    ]
-    return "\n".join(lines) + "\n"
+from repro.experiments.serve_chaos import (
+    ChaosConfig,
+    render_chaos_suite,
+    run_chaos_suite,
+)
+from repro.experiments.serve_overload import (
+    render_overload_suite,
+    run_overload_suite,
+)
 
 
 def test_overload_bench(capsys):
@@ -69,7 +40,9 @@ def test_overload_bench(capsys):
     chaos = run_chaos_suite(ChaosConfig(schedules=schedules))
     payload["chaos"] = {key: value for key, value in chaos.items()
                        if key != "runs"}
-    emit("bench_overload", _render(payload, chaos), capsys=capsys)
+    emit("bench_overload",
+         render_overload_suite(payload) + "\nchaos: " +
+         render_chaos_suite(chaos), capsys=capsys)
     write_json("BENCH_overload", payload)
 
     acceptance = payload["acceptance"]

@@ -24,43 +24,18 @@ import os
 
 from _common import emit, write_json
 
-from repro.analysis import format_table
-from repro.experiments.serve_load import run_load_suite
+from repro.experiments.serve_load import render_load_suite, run_load_suite
 
 #: The acceptance floor: batching+parallelism at T=8 must at least
 #: double throughput over the per-request solo path.
 MIN_SPEEDUP_AT_T8 = 2.0
 
 
-def _render(payload: dict) -> str:
-    rows = []
-    for cell in payload["cells"]:
-        latency = cell["latency_ms"]
-        rows.append([
-            str(cell["config"]["ensemble_size"]),
-            "on" if cell["batching"] else "off",
-            cell["arrival"],
-            f"{cell['qps']:.0f}",
-            f"{latency['p50']:.2f}",
-            f"{latency['p95']:.2f}",
-            f"{latency['p99']:.2f}",
-            f"{cell['mean_batch_requests']:.1f}",
-            "ok" if cell["parity_ok"] else "VIOLATED",
-        ])
-    table = format_table(
-        ["T", "batching", "arrival", "QPS", "p50 ms", "p95 ms",
-         "p99 ms", "reqs/batch", "parity"], rows)
-    speedups = "\n".join(
-        f"batching speedup at T={size}: {value:.2f}x"
-        for size, value in payload["qps_speedup_batched"].items())
-    return f"{table}\n\n{speedups}\n"
-
-
 def test_serving_load_bench(capsys):
     requests = int(os.environ.get("REPRO_BENCH_REQUESTS", "256"))
     payload = run_load_suite(ensemble_sizes=(1, 4, 8), seed=0,
                              requests=requests)
-    emit("bench_serving", _render(payload), capsys=capsys)
+    emit("bench_serving", render_load_suite(payload), capsys=capsys)
     write_json("BENCH_serving", payload)
 
     assert payload["parity_ok"], \

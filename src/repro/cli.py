@@ -310,7 +310,10 @@ def _cmd_serve_drift(args) -> int:
 
 def _cmd_serve_load(args) -> int:
     from repro.experiments.grid.reporting import write_json
-    from repro.experiments.serve_load import run_load_suite
+    from repro.experiments.serve_load import (
+        render_load_suite,
+        run_load_suite,
+    )
 
     try:
         sizes = tuple(int(part) for part in args.sizes.split(","))
@@ -322,20 +325,7 @@ def _cmd_serve_load(args) -> int:
         ensemble_sizes=sizes, seed=args.seed, requests=args.requests,
         rows=args.rows, clients=args.clients,
         max_batch_rows=args.max_batch_rows, max_wait_ms=args.max_wait_ms)
-    print(f"{'T':>3} {'batching':>8} {'arrival':>7} {'qps':>8} "
-          f"{'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8} {'batch':>6}")
-    for cell in payload["cells"]:
-        latency = cell["latency_ms"]
-        print(f"{cell['config']['ensemble_size']:>3} "
-              f"{'on' if cell['batching'] else 'off':>8} "
-              f"{cell['arrival']:>7} {cell['qps']:>8.0f} "
-              f"{latency['p50']:>8.2f} {latency['p95']:>8.2f} "
-              f"{latency['p99']:>8.2f} "
-              f"{cell['mean_batch_requests']:>6.1f}")
-    for size, speedup in payload["qps_speedup_batched"].items():
-        print(f"batching speedup at T={size}: {speedup:.2f}x")
-    print(f"bit-parity (batched == solo): "
-          f"{'ok' if payload['parity_ok'] else 'VIOLATED'}")
+    print(render_load_suite(payload), end="")
     path = write_json(args.bench_name, payload, directory=args.results)
     print(f"benchmark artifact: {path}")
     return 0 if payload["parity_ok"] else 1
@@ -345,24 +335,12 @@ def _cmd_serve_overload(args) -> int:
     from repro.experiments.grid.reporting import write_json
     from repro.experiments.serve_overload import (
         OverloadConfig,
+        render_overload_suite,
         run_overload_suite,
     )
 
     payload = run_overload_suite(OverloadConfig(seed=args.seed))
-    capacity = payload["capacity"]
-    print(f"capacity: {capacity['measured_rps']:.0f} rps measured "
-          f"({capacity['analytic_rps']:.0f} analytic)")
-    print(f"{'load':>6} {'mode':>10} {'offered':>8} {'goodput':>8} "
-          f"{'p50 ms':>8} {'p99 ms':>8} {'shed':>6} {'brownout':>8}")
-    for cell in payload["cells"]:
-        latency = cell["latency_ms"]
-        print(f"{cell['load_factor']:>5.1f}x "
-              f"{'resilient' if cell['resilient'] else 'baseline':>10} "
-              f"{cell['rate']:>8.0f} {cell['goodput_rps']:>8.0f} "
-              f"{latency['p50']:>8.1f} {latency['p99']:>8.1f} "
-              f"{cell['shed']:>6} {cell['brownout_batches']:>8}")
-    for name, value in payload["acceptance"].items():
-        print(f"  {name}: {'ok' if value else 'FAIL'}")
+    print(render_overload_suite(payload), end="")
     path = write_json(args.bench_name, payload, directory=args.results)
     print(f"benchmark artifact: {path}")
     return 0 if payload["ok"] else 1
@@ -370,27 +348,17 @@ def _cmd_serve_overload(args) -> int:
 
 def _cmd_serve_chaos(args) -> int:
     from repro.experiments.grid.reporting import write_json
-    from repro.experiments.serve_chaos import ChaosConfig, run_chaos_suite
+    from repro.experiments.serve_chaos import (
+        ChaosConfig,
+        render_chaos_suite,
+        run_chaos_suite,
+    )
 
     payload = run_chaos_suite(ChaosConfig(
         schedules=args.schedules, events=args.events,
         horizon_s=args.horizon, seed=args.seed),
         lock_sanitizer=args.lock_sanitizer)
-    print(f"{payload['schedules']} schedules at "
-          f"{payload['base_rate_rps']:.0f} rps base rate "
-          f"(events drawn: {payload['event_kinds']})")
-    print(f"  submitted {payload['total_submitted']}, "
-          f"shed {payload['total_shed']}, "
-          f"failed {payload['total_failed']}, "
-          f"member deaths {payload['total_member_deaths']}")
-    if args.lock_sanitizer:
-        print(f"  lock sanitizer armed: "
-              f"{payload['lock_order_violations']} ordering violation(s)")
-    if payload["ok"]:
-        print("  all invariants held (no deadlock, no torn batch, "
-              "ledger conserved)")
-    else:
-        print(f"  INVARIANT FAILURES in seeds {payload['failed_seeds']}")
+    print(render_chaos_suite(payload), end="")
     if args.results:
         path = write_json(args.bench_name, payload, directory=args.results)
         print(f"artifact: {path}")

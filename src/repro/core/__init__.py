@@ -54,7 +54,6 @@ from repro.core.serialization import (
     load_ensemble,
     save_ensemble,
 )
-from repro.core.stacking import SoftmaxRegression, StackedEnsemble
 from repro.core.edde import EDDETrainer
 
 __all__ = [
@@ -110,6 +109,4 @@ __all__ = [
     "load_ensemble",
     "LoadReport",
     "DroppedMember",
-    "StackedEnsemble",
-    "SoftmaxRegression",
 ]

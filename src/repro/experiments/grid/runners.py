@@ -370,6 +370,22 @@ def serving_load_runner(run: RunSpec, context: RunContext) -> RunOutput:
                      result=result if context.keep_result else None)
 
 
+def _config_knobs(run: RunSpec, runner: str,
+                  allowed: Sequence[str]) -> Dict[str, Any]:
+    """A runner's config knobs: its factors and overrides, bar the seed.
+
+    The replication seed reaches the runner as ``run.seed``; every other
+    factor or override must name one of ``allowed``.
+    """
+    knobs = {**run.factor_dict, **run.override_dict}
+    knobs.pop("seed", None)
+    unknown = set(knobs) - set(allowed)
+    if unknown:
+        raise ValueError(f"{runner} runner got unknown overrides: "
+                         f"{sorted(unknown)}")
+    return knobs
+
+
 SERVE_OVERLOAD_OVERRIDES = (
     "load_factor", "resilient", "ensemble_size", "rows", "member_seconds",
     "max_batch_rows", "max_wait_ms", "queue_depth", "target_delay_ms",
@@ -391,13 +407,9 @@ def serve_overload_runner(run: RunSpec, context: RunContext) -> RunOutput:
         run_overload_cell,
     )
 
-    merged = {**run.factor_dict, **run.override_dict}
+    merged = _config_knobs(run, "serve_overload", SERVE_OVERLOAD_OVERRIDES)
     factor = float(merged.pop("load_factor", 1.0))
     resilient = bool(merged.pop("resilient", True))
-    unknown = set(merged) - set(SERVE_OVERLOAD_OVERRIDES)
-    if unknown:
-        raise ValueError(f"serve_overload runner got unknown overrides: "
-                         f"{sorted(unknown)}")
     config = OverloadConfig(seed=run.seed, **merged)
     cell = run_overload_cell(config, rate=factor * analytic_capacity(config),
                              resilient=resilient)
@@ -422,11 +434,7 @@ def serve_chaos_runner(run: RunSpec, context: RunContext) -> RunOutput:
     """One chaos campaign: seeded schedules in, invariant verdicts out."""
     from repro.experiments.serve_chaos import ChaosConfig, run_chaos_suite
 
-    merged = {**run.factor_dict, **run.override_dict}
-    unknown = set(merged) - set(SERVE_CHAOS_OVERRIDES)
-    if unknown:
-        raise ValueError(f"serve_chaos runner got unknown overrides: "
-                         f"{sorted(unknown)}")
+    merged = _config_knobs(run, "serve_chaos", SERVE_CHAOS_OVERRIDES)
     payload = run_chaos_suite(ChaosConfig(seed=run.seed, **merged))
     metrics = {
         "ok": payload["ok"],

@@ -5,10 +5,13 @@ Overload benches measure *performance* under stress; this harness checks
 :class:`~repro.serving.faults.ChaosSchedule` — arrival-rate storms, pump
 stalls, slow-member bursts, executor-task deaths — from one seeded RNG
 and replays it in virtual time through the same
-:func:`~repro.experiments.serve_overload.replay` mechanics the overload
-suite uses, with admission control and brownout armed.  A (config, seed)
-pair therefore names the entire run: every storm arrival, every shed,
-every breaker transition, bit for bit.
+:func:`~repro.experiments.load_engine.replay` engine the overload suite
+uses, with admission control and brownout armed: arrivals come from the
+engine's storm profile
+(:func:`~repro.experiments.load_engine.storm_arrivals`), and the
+schedule's pump stalls push batch due times later (:func:`_unstall`).
+A (config, seed) pair therefore names the entire run: every storm
+arrival, every shed, every breaker transition, bit for bit.
 
 What each replay asserts (the *invariants*, not point predictions):
 
@@ -45,18 +48,22 @@ exactly that).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.concurrency import LockOrderError, lock_order_mode
+from repro.experiments.load_engine import (
+    build_mlp_service,
+    build_pipeline,
+    make_payloads,
+    replay,
+    storm_arrivals,
+)
 from repro.experiments.serve_overload import (
     OverloadConfig,
-    _payloads,
-    _pipeline,
     analytic_capacity,
-    build_overload_service,
-    replay,
+    resilience_knobs,
 )
 from repro.serving.faults import (
     BurstySlowMember,
@@ -68,7 +75,7 @@ from repro.serving.pressure import PressureConfig
 
 __all__ = [
     "ChaosConfig",
-    "chaos_arrivals",
+    "render_chaos_suite",
     "run_chaos_schedule",
     "run_chaos_suite",
 ]
@@ -109,26 +116,6 @@ class ChaosConfig:
 
 
 # ----------------------------------------------------------------------
-def chaos_arrivals(config: ChaosConfig, schedule: ChaosSchedule,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Storm-modulated Poisson arrivals over ``[0, horizon_s)``.
-
-    Each inter-arrival gap is drawn at the instantaneous rate (base ×
-    the stacked storm multipliers at the current instant) — the same
-    per-gap construction as the load harness's ramp profile, so storms
-    genuinely multiply traffic inside their windows and nowhere else.
-    """
-    base = config.rate()
-    times: List[float] = []
-    now = 0.0
-    while True:
-        rate = base * schedule.rate_multiplier(now)
-        now += float(rng.exponential(1.0 / rate))
-        if now >= config.horizon_s:
-            return np.asarray(times, dtype=np.float64)
-        times.append(now)
-
-
 def _apply_schedule(service, schedule: ChaosSchedule,
                     clock: ManualClock) -> None:
     """Wrap live members per the schedule's slow/death windows."""
@@ -178,11 +165,14 @@ def run_chaos_schedule(config: ChaosConfig, seed: int,
     clock = ManualClock()
     lock_order_failure: Optional[str] = None
     with lock_order_mode(lock_sanitizer):
-        service = build_overload_service(config.service, clock)
+        service = build_mlp_service(config.service, clock,
+                                    config.service.member_seconds)
         _apply_schedule(service, schedule, clock)
-        pipeline = _pipeline(config.service, service, resilient=True)
-        arrivals = chaos_arrivals(config, schedule, rng)
-        payloads = _payloads(config.service, len(arrivals), rng)
+        pipeline = build_pipeline(service, config.service,
+                                  **resilience_knobs(config.service, True))
+        arrivals = storm_arrivals(config.rate(), schedule.rate_multiplier,
+                                  config.horizon_s, rng)
+        payloads = make_payloads(config.service, len(arrivals), rng)
         try:
             record = replay(pipeline, clock, arrivals, payloads,
                             unstall=_unstall(schedule))
@@ -267,3 +257,24 @@ def run_chaos_suite(config: Optional[ChaosConfig] = None,
         "runs": runs,
         "ok": not failed,
     }
+
+
+def render_chaos_suite(payload: Dict) -> str:
+    """Traffic, disturbance and invariant summary of a chaos campaign."""
+    lines = [
+        f"{payload['schedules']} schedules at "
+        f"{payload['base_rate_rps']:.0f} rps base rate "
+        f"(events drawn: {payload['event_kinds']})",
+        f"  submitted {payload['total_submitted']}, "
+        f"shed {payload['total_shed']}, "
+        f"failed {payload['total_failed']}, "
+        f"member deaths {payload['total_member_deaths']}",
+    ]
+    if payload["lock_sanitizer"]:
+        lines.append(f"  lock sanitizer armed: "
+                     f"{payload['lock_order_violations']} ordering "
+                     f"violation(s)")
+    lines.append("  all invariants held (no deadlock, no torn batch, "
+                 "ledger conserved)" if payload["ok"] else
+                 f"  INVARIANT FAILURES in seeds {payload['failed_seeds']}")
+    return "\n".join(lines) + "\n"

@@ -10,16 +10,12 @@ style but deterministic, against the concurrent pipeline
 * **Closed loop** — C client threads in a submit→wait→repeat cycle over
   pre-generated payloads.  Real wall-clock timing (``perf_counter``):
   this is where QPS and the p50/p95/p99 latency percentiles come from.
-* **Open loop** — a Poisson arrival replay on a
-  :class:`~repro.serving.faults.ManualClock`: arrivals are drawn from the
-  run's seeded RNG, the clock advances to each arrival, and the batcher
-  is pumped exactly when its window expires.  Nothing here depends on
-  host speed — same seed, same batch compositions, same simulated
-  queueing delays — so batching *policy* (batch-size distribution,
-  window-induced waiting) is a reproducible, testable quantity.
-  Three arrival profiles (:func:`arrival_times`): ``open`` (homogeneous
-  Poisson), ``ramp`` (rate sweeps ``rate`` → ``rate_end``; the overload
-  bench's saturation finder) and ``burst`` (on/off duty cycle).
+* **Open loop** — an ``open``, ``ramp`` or ``burst`` arrival profile
+  replayed on a :class:`~repro.serving.faults.ManualClock` by
+  :func:`~repro.experiments.load_engine.replay`, with members that cost
+  no virtual time.  Same seed, same batch compositions, same queueing
+  delays (none longer than the window): batching *policy* is a
+  reproducible, testable quantity.
 
 Every run also answers a probe set twice — solo through
 ``service.predict`` and batched through the pipeline — and records
@@ -45,18 +41,22 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.ensemble import Ensemble
-from repro.models.factory import ModelFactory
-from repro.models.mlp import MLP
+from repro.analysis import format_table
+from repro.experiments.load_engine import (
+    arrival_times,
+    build_mlp_service,
+    build_pipeline,
+    latency_summary,
+    make_payloads,
+    replay,
+)
 from repro.serving.faults import ManualClock
-from repro.serving.service import InferenceService, ServiceConfig
-from repro.serving.transport import PipelineConfig, ServingPipeline
+from repro.serving.service import InferenceService
 
 __all__ = [
     "LoadConfig",
     "LoadResult",
-    "arrival_times",
-    "build_load_service",
+    "render_load_suite",
     "run_load_suite",
     "run_serve_load",
 ]
@@ -129,86 +129,13 @@ class LoadResult:
 
 
 # ----------------------------------------------------------------------
-def build_load_service(config: LoadConfig,
-                       clock=time.monotonic) -> InferenceService:
-    """A T-member MLP service, deterministic in ``config.seed``."""
-    root = np.random.SeedSequence([0x5E24E10AD, int(config.seed)])
-    streams = root.spawn(config.ensemble_size + 1)
-    alpha_rng = np.random.default_rng(streams[-1])
-    factory = ModelFactory(MLP, input_dim=config.input_dim,
-                           num_classes=config.num_classes,
-                           hidden=tuple(config.hidden))
-    ensemble = Ensemble()
-    for member in range(config.ensemble_size):
-        ensemble.add(factory.build(rng=np.random.default_rng(
-            streams[member])),
-            alpha=float(alpha_rng.uniform(0.5, 1.5)))
-    return InferenceService(ensemble, ServiceConfig(clock=clock))
-
-
-def _payloads(config: LoadConfig, count: int,
-              rng: np.random.Generator) -> List[np.ndarray]:
-    return [rng.normal(size=(config.rows, config.input_dim))
-            .astype(np.float32) for _ in range(count)]
-
-
-def _pipeline_config(config: LoadConfig) -> PipelineConfig:
-    return PipelineConfig(max_batch_rows=config.max_batch_rows,
-                          max_wait_ms=config.max_wait_ms,
-                          queue_depth=config.queue_depth,
-                          workers=config.workers,
-                          batching=config.batching)
-
-
-def arrival_times(config: LoadConfig,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Draw the open-loop arrival timeline for ``config``'s profile.
-
-    * ``open``  — homogeneous Poisson at ``rate``;
-    * ``ramp``  — inhomogeneous Poisson whose mean rate sweeps linearly
-      from ``rate`` to ``rate_end`` across the run (each inter-arrival
-      gap is drawn at the instantaneous rate) — the profile the overload
-      bench uses to walk a service into saturation;
-    * ``burst`` — an on/off duty cycle: gaps are drawn at ``rate`` and
-      any arrival landing in an off-phase is shifted to the start of the
-      next on-phase (arrival order and count are preserved).
-    """
-    n = config.requests
-    if config.arrival == "ramp":
-        end = config.rate_end if config.rate_end is not None else config.rate
-        rates = np.linspace(config.rate, float(end), n, dtype=np.float64)
-        gaps = rng.exponential(1.0 / np.maximum(rates, 1e-9))
-        return np.cumsum(gaps)
-    gaps = rng.exponential(1.0 / config.rate, size=n)
-    times = np.cumsum(gaps)
-    if config.arrival == "burst":
-        period = config.burst_period_s
-        on = period * config.burst_duty
-        # Compress the timeline: only on-phase time accrues arrivals,
-        # then map each arrival back to absolute (on+off) time.
-        compressed = times * config.burst_duty
-        cycle, offset = np.divmod(compressed, on)
-        times = cycle * period + offset
-    return times
-
-
-def _percentiles(latencies: Sequence[float]) -> Dict[str, float]:
-    sample = np.asarray(latencies, dtype=np.float64) * 1000.0
-    return {"p50": float(np.percentile(sample, 50)),
-            "p95": float(np.percentile(sample, 95)),
-            "p99": float(np.percentile(sample, 99)),
-            "mean": float(sample.mean())}
-
-
 def _check_parity(config: LoadConfig, service: InferenceService,
                   rng: np.random.Generator) -> bool:
     """Solo vs micro-batched answers on a probe set, compared with ``==``."""
-    probes = _payloads(config, config.probe_requests, rng)
+    probes = make_payloads(config, config.probe_requests, rng)
     solo = [service.predict(x).probs.copy() for x in probes]
-    pipeline = ServingPipeline(service, PipelineConfig(
-        max_batch_rows=config.max_batch_rows, workers=0,
-        queue_depth=max(config.queue_depth, len(probes)))
-    ).start(pump=False)
+    pipeline = build_pipeline(
+        service, config, queue_depth=max(config.queue_depth, len(probes)))
     tickets = [pipeline.submit(x) for x in probes]
     while any(not ticket.done for ticket in tickets):
         pipeline.batcher.pump_once()
@@ -221,13 +148,14 @@ def _check_parity(config: LoadConfig, service: InferenceService,
 def _run_closed_loop(config: LoadConfig, service: InferenceService,
                      rng: np.random.Generator):
     """C threads in submit→wait→repeat; real-time QPS and percentiles."""
-    payloads = _payloads(config, config.requests + config.warmup, rng)
+    payloads = make_payloads(config, config.requests + config.warmup, rng)
     warmup, timed = payloads[:config.warmup], payloads[config.warmup:]
     latencies: List[float] = []
     lock = threading.Lock()
     shares = np.array_split(np.arange(len(timed)), config.clients)
 
-    with ServingPipeline(service, _pipeline_config(config)) as pipeline:
+    with build_pipeline(service, config, workers=config.workers,
+                        batching=config.batching) as pipeline:
         for x in warmup:
             pipeline.predict(x)
 
@@ -255,63 +183,29 @@ def _run_closed_loop(config: LoadConfig, service: InferenceService,
     return latencies, seconds, stats
 
 
-def _run_open_loop(config: LoadConfig, rng: np.random.Generator):
-    """Poisson replay on a manual clock: deterministic batching policy."""
+def _run_open_loop(config: LoadConfig, rng: np.random.Generator) -> Dict:
+    """The arrival profile replayed on a manual clock: batching policy.
+
+    Members cost no virtual time, so every queueing delay is the time a
+    request waited for its batch to form — never more than the window.
+    """
     clock = ManualClock()
-    service = build_load_service(config, clock=clock)
-    pipeline = ServingPipeline(service, _pipeline_config(config))
-    pipeline.start(pump=False)   # manual pumping at exact window expiries
-    arrivals = arrival_times(config, rng)
-    payloads = _payloads(config, config.requests, rng)
-    window = config.max_wait_ms / 1000.0
-    delays: List[float] = []
-    batch_sizes: List[int] = []
-    tickets = []
-
-    def pump() -> None:
-        drained = pipeline.batcher.pump_once() if pipeline.batcher else 0
-        if drained:
-            batch_sizes.append(drained)
-
-    oldest: Optional[float] = None
-    for arrive, x in zip(arrivals, payloads):
-        # Pump every window expiry that precedes this arrival.
-        while oldest is not None and oldest + window <= arrive:
-            clock.now = oldest + window
-            pump()
-            oldest = None if pipeline.batcher is None or \
-                not pipeline.batcher.depth() else clock.now
-        clock.now = float(arrive)
-        ticket = pipeline.submit(x)
-        tickets.append((ticket, float(arrive)))
-        if ticket.done:              # batching off: answered inline
-            delays.append(0.0)
-        elif oldest is None:
-            oldest = float(arrive)
-        if pipeline.batcher is not None and \
-                pipeline.batcher.depth() * config.rows >= \
-                config.max_batch_rows:
-            pump()                   # prefix full: batch forms immediately
-            oldest = None
-    while pipeline.batcher is not None and pipeline.batcher.depth():
-        clock.advance(window)
-        pump()
-    if pipeline.batcher is not None:
-        for ticket, arrive in tickets:
-            delays.append(max(0.0, ticket.wait(timeout=1.0).latency))
+    pipeline = build_pipeline(build_mlp_service(config, clock), config,
+                              batching=config.batching)
+    arrivals = arrival_times(
+        config.arrival, config.requests, config.rate, rng,
+        rate_end=config.rate_end, burst_period_s=config.burst_period_s,
+        burst_duty=config.burst_duty)
+    record = replay(pipeline, clock, arrivals,
+                    make_payloads(config, config.requests, rng))
     pipeline.close()
-    sizes = np.asarray(batch_sizes or [1], dtype=np.float64)
-    delay_ms = np.asarray(delays, dtype=np.float64) * 1000.0
+    sizes = np.asarray(record.batches or [1], dtype=np.float64)
     return {
         "profile": config.arrival,
         "simulated_seconds": float(arrivals[-1]),
         "batch_size_mean": float(sizes.mean()),
         "batch_size_max": int(sizes.max()),
-        "queueing_delay_ms": {
-            "p50": float(np.percentile(delay_ms, 50)),
-            "p99": float(np.percentile(delay_ms, 99)),
-            "max": float(delay_ms.max()),
-        },
+        "queueing_delay_ms": latency_summary(record.latencies()),
     }
 
 
@@ -320,7 +214,7 @@ def run_serve_load(config: LoadConfig) -> LoadResult:
     up to the wall-clock timings the closed loop exists to measure."""
     rng = np.random.default_rng(
         np.random.SeedSequence([0x10AD5EED, int(config.seed)]))
-    service = build_load_service(config)
+    service = build_mlp_service(config)
     parity_ok = _check_parity(config, service, rng)
 
     open_stats: Dict = {}
@@ -334,7 +228,8 @@ def run_serve_load(config: LoadConfig) -> LoadResult:
         batching=config.batching, requests=len(latencies),
         seconds=float(seconds),
         qps=float(len(latencies) / seconds) if seconds > 0 else 0.0,
-        latency_ms=_percentiles(latencies),
+        latency_ms=latency_summary(latencies,
+                                   ("p50", "p95", "p99", "mean")),
         batches_formed=batches, requests_batched=batched,
         mean_batch_requests=float(batched / batches) if batches else 0.0,
         parity_ok=bool(parity_ok),
@@ -375,3 +270,24 @@ def run_load_suite(ensemble_sizes: Sequence[int] = (1, 4, 8),
         "qps_speedup_batched": speedups,
         "parity_ok": bool(all(cell["parity_ok"] for cell in cells)),
     }
+
+
+def render_load_suite(payload: Dict) -> str:
+    """The sweep's cell table, batching speedups and parity verdict."""
+    rows = [[str(cell["config"]["ensemble_size"]),
+             "on" if cell["batching"] else "off", cell["arrival"],
+             f"{cell['qps']:.0f}", f"{cell['latency_ms']['p50']:.2f}",
+             f"{cell['latency_ms']['p95']:.2f}",
+             f"{cell['latency_ms']['p99']:.2f}",
+             f"{cell['mean_batch_requests']:.1f}",
+             "ok" if cell["parity_ok"] else "VIOLATED"]
+            for cell in payload["cells"]]
+    table = format_table(
+        ["T", "batching", "arrival", "QPS", "p50 ms", "p95 ms",
+         "p99 ms", "reqs/batch", "parity"], rows)
+    lines = [table, ""] + [
+        f"batching speedup at T={size}: {value:.2f}x"
+        for size, value in payload["qps_speedup_batched"].items()]
+    lines.append(f"bit-parity (batched == solo): "
+                 f"{'ok' if payload['parity_ok'] else 'VIOLATED'}")
+    return "\n".join(lines) + "\n"

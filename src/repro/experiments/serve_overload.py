@@ -12,19 +12,20 @@ Everything runs in **virtual time** on a
   ``live members × member_seconds`` — a deterministic single-server
   queueing model in which brownout (fewer members per batch) genuinely
   raises capacity;
-* :func:`replay` drives Poisson arrivals through the pipeline with
-  textbook event-list mechanics: the clock jumps to each arrival, the
-  batcher is pumped at every window expiry / full-prefix instant that
-  precedes it, and a submission that lands while the server is mid-batch
-  is back-stamped to its true arrival time so sojourn-based admission
-  sees honest queue delays.
+* :func:`~repro.experiments.load_engine.replay` drives Poisson
+  arrivals through the pipeline with textbook event-list mechanics: the
+  clock jumps to each arrival, the batcher is pumped at every window
+  expiry / full-prefix instant that precedes it, and a submission that
+  lands while the server is mid-batch is back-stamped to its true
+  arrival time so sojourn-based admission sees honest queue delays.
 
 Nothing depends on host speed: a (config, seed) pair names every batch
 composition, shed decision and brownout transition bit-for-bit.
 
 The suite itself (:func:`run_overload_suite`):
 
-1. **Capacity** — a ramp-profile cell (:func:`arrival_times`) walks the
+1. **Capacity** — a ``ramp``-profile cell
+   (:func:`~repro.experiments.load_engine.arrival_times`) walks the
    offered rate through saturation; measured capacity is the completion
    rate after the first shed (the server is continuously busy from
    there on).
@@ -46,28 +47,31 @@ The suite itself (:func:`run_overload_suite`):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis import format_table
 from repro.core.ensemble import Ensemble
-from repro.experiments.serve_load import (
-    LoadConfig,
+from repro.experiments.load_engine import (
+    Replay,
     arrival_times,
-    build_load_service,
+    build_mlp_service,
+    build_pipeline,
+    latency_summary,
+    make_payloads,
+    replay,
 )
-from repro.serving.errors import ServiceUnavailable
-from repro.serving.faults import ManualClock, SlowMember
+from repro.serving.faults import ManualClock
 from repro.serving.pressure import PressureConfig
 from repro.serving.service import InferenceService
-from repro.serving.transport import PipelineConfig, ServingPipeline
 
 __all__ = [
     "OverloadConfig",
-    "Replay",
-    "build_overload_service",
+    "analytic_capacity",
     "measure_capacity",
-    "replay",
+    "render_overload_suite",
+    "resilience_knobs",
     "run_overload_cell",
     "run_overload_suite",
 ]
@@ -112,29 +116,6 @@ class OverloadConfig:
 
 
 # ----------------------------------------------------------------------
-def _load_config(config: OverloadConfig, requests: int, arrival: str,
-                 rate: float, rate_end: Optional[float] = None) -> LoadConfig:
-    return LoadConfig(
-        ensemble_size=config.ensemble_size, input_dim=config.input_dim,
-        num_classes=config.num_classes, hidden=tuple(config.hidden),
-        rows=config.rows, requests=int(requests), arrival=arrival,
-        rate=float(rate), rate_end=rate_end,
-        max_batch_rows=config.max_batch_rows,
-        max_wait_ms=config.max_wait_ms, queue_depth=config.queue_depth,
-        seed=config.seed)
-
-
-def build_overload_service(config: OverloadConfig,
-                           clock: ManualClock) -> InferenceService:
-    """The load harness's MLP service with virtual-time member cost."""
-    service = build_load_service(
-        _load_config(config, 1, "open", 1.0), clock=clock)
-    for member in service.members:
-        member.model = SlowMember(member.model, config.member_seconds,
-                                  clock=clock)
-    return service
-
-
 def analytic_capacity(config: OverloadConfig) -> float:
     """Requests/second a full batch of all-T members can sustain."""
     per_batch = max(config.max_batch_rows // config.rows, 1)
@@ -142,111 +123,22 @@ def analytic_capacity(config: OverloadConfig) -> float:
     return per_batch / service_time
 
 
-# ----------------------------------------------------------------------
-@dataclass
-class Replay:
-    """What one virtual-time replay did, ticket by ticket."""
+def resilience_knobs(config: OverloadConfig, resilient: bool,
+                     brownout: Optional[bool] = None) -> Dict:
+    """Pipeline knobs of a resilient or a baseline cell.
 
-    #: (request index, arrival time, ticket) for every admitted request.
-    tickets: List[Tuple[int, float, object]]
-    #: (request index, arrival time, error code, retry_after) per shed.
-    shed: List[Tuple[int, float, str, Optional[float]]]
-
-    def completed(self):
-        return [(index, arrive, ticket.wait(0))
-                for index, arrive, ticket in self.tickets
-                if ticket.done and not ticket.failed]
-
-    def latencies(self) -> np.ndarray:
-        return np.asarray(
-            [prediction.latency for _, _, prediction in self.completed()],
-            dtype=np.float64)
-
-
-def replay(pipeline: ServingPipeline, clock: ManualClock,
-           arrivals: np.ndarray, payloads: List[np.ndarray],
-           unstall: Callable[[float], float] = lambda t: t) -> Replay:
-    """Drive Poisson arrivals through the pipeline in virtual time.
-
-    Single-server event mechanics: before each arrival, every batch
-    whose window has expired (or whose prefix is full) is pumped at its
-    due instant — ``unstall`` may push a due time later (the chaos
-    harness's pump-stall windows).  Serving advances the clock (the
-    members are :class:`SlowMember`-wrapped), so a batch that runs past
-    the next arrival leaves the clock there: that arrival is then
-    *back-stamped* — submitted with the clock rewound to its true
-    arrival time so its ``enqueued`` stamp, and every sojourn computed
-    from it, matches the timeline — and the clock restored.
-
-    The pipeline must be built on ``clock`` with ``workers=0`` and
-    started with ``pump=False``.
+    Resilient arms admission control and (unless ``brownout=False``)
+    brownout; the baseline has neither, and no backpressure story: an
+    effectively unbounded queue is what lets its latency collapse show.
     """
-    batcher = pipeline.batcher
-    window = pipeline.config.max_wait_ms / 1000.0
-    max_rows = pipeline.config.max_batch_rows
-
-    def next_due() -> Optional[float]:
-        head = batcher.head_enqueued()
-        if head is None:
-            return None
-        due = head + window
-        if batcher.depth() * payload_rows >= max_rows:
-            due = min(due, max(clock.now, head))   # prefix full: form now
-        return unstall(due)
-
-    payload_rows = int(len(payloads[0]))
-    tickets: List[Tuple[int, float, object]] = []
-    shed: List[Tuple[int, float, str, Optional[float]]] = []
-    for index, (arrive, x) in enumerate(zip(arrivals, payloads)):
-        arrive = float(arrive)
-        while clock.now < arrive:
-            due = next_due()
-            if due is None or due > arrive:
-                break
-            clock.now = max(clock.now, due)
-            batcher.pump_once()
-        resume = clock.now
-        clock.now = arrive
-        try:
-            tickets.append((index, arrive, pipeline.submit(x)))
-        except ServiceUnavailable as error:
-            shed.append((index, arrive,
-                         getattr(error, "code", "unavailable"),
-                         getattr(error, "retry_after", None)))
-        clock.now = max(resume, arrive)
-    while True:
-        due = next_due()
-        if due is None:
-            break
-        clock.now = max(clock.now, due)
-        if not batcher.pump_once():
-            break                      # defensive: nothing drained
-    return Replay(tickets=tickets, shed=shed)
-
-
-# ----------------------------------------------------------------------
-def _pipeline(config: OverloadConfig, service: InferenceService,
-              resilient: bool, brownout: Optional[bool] = None,
-              ) -> ServingPipeline:
     brownout = resilient if brownout is None else brownout
-    pipe = ServingPipeline(service, PipelineConfig(
-        max_batch_rows=config.max_batch_rows,
-        max_wait_ms=config.max_wait_ms,
-        # The baseline has no backpressure story: an effectively
-        # unbounded queue is what lets its latency collapse show.
-        queue_depth=config.queue_depth if resilient else 1_000_000,
-        workers=0, batching=True,
-        target_delay_ms=config.target_delay_ms if resilient else None,
-        interval_ms=config.interval_ms,
-        brownout=brownout,
-        pressure=config.pressure if brownout else None))
-    return pipe.start(pump=False)
-
-
-def _payloads(config: OverloadConfig, count: int,
-              rng: np.random.Generator) -> List[np.ndarray]:
-    return [rng.normal(size=(config.rows, config.input_dim))
-            .astype(np.float32) for _ in range(count)]
+    return {
+        "queue_depth": config.queue_depth if resilient else 1_000_000,
+        "target_delay_ms": config.target_delay_ms if resilient else None,
+        "interval_ms": config.interval_ms,
+        "brownout": brownout,
+        "pressure": config.pressure if brownout else None,
+    }
 
 
 def run_overload_cell(config: OverloadConfig, rate: float,
@@ -262,14 +154,15 @@ def run_overload_cell(config: OverloadConfig, rate: float,
     """
     if requests is None:
         requests = max(int(rate * config.horizon_s), 16)
-    load = _load_config(config, requests, arrival, rate, rate_end)
     rng = np.random.default_rng(
         np.random.SeedSequence([0x0E210AD, int(config.seed)]))
     clock = ManualClock()
-    service = build_overload_service(config, clock)
-    pipeline = _pipeline(config, service, resilient, brownout)
-    arrivals = arrival_times(load, rng)
-    payloads = _payloads(config, requests, rng)
+    service = build_mlp_service(config, clock, config.member_seconds)
+    pipeline = build_pipeline(service, config, **resilience_knobs(
+        config, resilient, brownout))
+    arrivals = arrival_times(arrival, requests, rate, rng,
+                             rate_end=rate_end)
+    payloads = make_payloads(config, requests, rng)
     record = replay(pipeline, clock, arrivals, payloads)
     stats = pipeline.stats()
     parity = _brownout_parity(service, record, payloads)
@@ -293,13 +186,7 @@ def run_overload_cell(config: OverloadConfig, rate: float,
         "makespan_s": float(makespan),
         "goodput_rps": float(good / makespan) if makespan > 0 else 0.0,
         "slo_violations": int(latencies.size - good),
-        "latency_ms": {
-            "p50": float(np.percentile(latencies, 50) * 1000)
-            if latencies.size else 0.0,
-            "p99": float(np.percentile(latencies, 99) * 1000)
-            if latencies.size else 0.0,
-            "max": float(latencies.max() * 1000) if latencies.size else 0.0,
-        },
+        "latency_ms": latency_summary(latencies),
         "first_shed_at_s": first_shed,
         "brownout_batches": int(sum(1 for level in levels if level > 0)),
         "max_brownout_level": int(max(levels) if levels else 0),
@@ -418,3 +305,28 @@ def run_overload_suite(config: Optional[OverloadConfig] = None) -> Dict:
         "acceptance": acceptance,
         "ok": all(acceptance.values()),
     }
+
+
+def render_overload_suite(payload: Dict) -> str:
+    """The suite's cell table, capacity, bounds and acceptance verdicts."""
+    rows = [[f"{cell['load_factor']:.1f}x",
+             "resilient" if cell["resilient"] else "baseline",
+             f"{cell['rate']:.0f}", f"{cell['goodput_rps']:.0f}",
+             f"{cell['latency_ms']['p50']:.1f}",
+             f"{cell['latency_ms']['p99']:.1f}",
+             str(cell["shed"]), str(cell["brownout_batches"])]
+            for cell in payload["cells"]]
+    table = format_table(
+        ["load", "mode", "offered rps", "goodput rps", "p50 ms",
+         "p99 ms", "shed", "brownout batches"], rows)
+    capacity = payload["capacity"]
+    return "\n".join([
+        table, "",
+        f"capacity: {capacity['measured_rps']:.0f} rps measured "
+        f"({capacity['analytic_rps']:.0f} analytic)",
+        f"p99 bound: {payload['p99_bound_ms']:.1f} ms; goodput floor: "
+        f"{payload['goodput_floor_rps']:.0f} rps",
+        "acceptance: " + ", ".join(
+            f"{name}={'ok' if value else 'FAIL'}"
+            for name, value in payload["acceptance"].items()),
+    ]) + "\n"

@@ -8,7 +8,6 @@ The paper trains everything with SGD + momentum.  Two schedules matter:
 """
 
 from repro.optim.sgd import SGD
-from repro.optim.adam import Adam
 from repro.optim.schedules import (
     ConstantLR,
     CosineAnnealingLR,
@@ -19,7 +18,6 @@ from repro.optim.schedules import (
 
 __all__ = [
     "SGD",
-    "Adam",
     "LRSchedule",
     "ConstantLR",
     "StepLR",

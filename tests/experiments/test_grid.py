@@ -562,3 +562,40 @@ class TestServeDriftRunner:
         (record,) = grid.records
         assert record.status == "failed"
         assert "declares no drift schedule" in record.error
+
+
+class TestVirtualTimeServingRunners:
+    """The serve_overload and serve_chaos runners on a seeded grid.
+
+    Every grid carries a ``seed`` factor; it reaches these runners as
+    ``run.seed`` and must not be mistaken for a config override.
+    """
+
+    def test_overload_cells_run_and_match_direct_cells(self):
+        from repro.experiments.serve_overload import (
+            OverloadConfig,
+            analytic_capacity,
+            run_overload_cell,
+        )
+
+        spec = GridSpec(name="overload-grid",
+                        factors={"resilient": [True, False],
+                                 "seed": [0, 1]},
+                        base={"horizon_s": 0.5, "load_factor": 2.0},
+                        runner="serve_overload", checkpoint=False)
+        grid = run_grid(spec)
+        assert grid.complete
+        record = grid.one(resilient=True, seed=1)
+        config = OverloadConfig(seed=1, horizon_s=0.5)
+        direct = run_overload_cell(
+            config, rate=2.0 * analytic_capacity(config), resilient=True)
+        assert record.metrics["goodput_rps"] == direct["goodput_rps"]
+        assert record.metrics["shed"] == direct["shed"]
+
+    def test_chaos_campaigns_run_per_seed(self):
+        spec = GridSpec(name="chaos-grid", factors={"seed": [0, 1]},
+                        base={"schedules": 2, "horizon_s": 0.5},
+                        runner="serve_chaos", checkpoint=False)
+        grid = run_grid(spec)
+        assert grid.complete
+        assert all(record.metrics["ok"] for record in grid.records)

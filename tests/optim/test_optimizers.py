@@ -1,10 +1,10 @@
-"""SGD / Adam behaviour on analytic objectives."""
+"""SGD behaviour on analytic objectives."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam
+from repro.optim import SGD
 
 
 def quadratic_step(optimizer, param, target=3.0):
@@ -72,27 +72,3 @@ class TestSGD:
         w.grad = np.ones(1)
         opt.zero_grad()
         assert w.grad is None
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        w = Parameter(np.array([10.0]))
-        opt = Adam([w], lr=0.3)
-        for _ in range(300):
-            quadratic_step(opt, w)
-        assert w.data[0] == pytest.approx(3.0, abs=1e-3)
-
-    def test_first_step_magnitude_is_lr(self):
-        # With bias correction, |first step| ~= lr regardless of grad scale.
-        w = Parameter(np.array([0.0]))
-        opt = Adam([w], lr=0.1)
-        w.grad = np.array([1000.0])
-        opt.step()
-        assert abs(w.data[0]) == pytest.approx(0.1, rel=1e-3)
-
-    def test_weight_decay(self):
-        w = Parameter(np.array([5.0]))
-        opt = Adam([w], lr=0.1, weight_decay=1.0)
-        w.grad = np.zeros(1)
-        opt.step()
-        assert w.data[0] < 5.0

@@ -11,18 +11,21 @@ thread-death firewall) and the full seeded replay.
 import numpy as np
 import pytest
 
+from repro.experiments.load_engine import (
+    build_mlp_service,
+    build_pipeline,
+    make_payloads,
+    replay,
+    storm_arrivals,
+)
 from repro.experiments.serve_chaos import (
     ChaosConfig,
-    chaos_arrivals,
     run_chaos_schedule,
     run_chaos_suite,
 )
 from repro.experiments.serve_overload import (
     OverloadConfig,
-    _payloads,
-    _pipeline,
-    build_overload_service,
-    replay,
+    resilience_knobs,
 )
 from repro.serving.executor import MemberExecutor
 from repro.serving.faults import (
@@ -190,14 +193,23 @@ class TestChaosReplay:
         assert all(count > 0 for count in payload["event_kinds"].values())
         assert payload["total_shed"] > 0           # storms found the wall
 
+    def test_schedule_without_arrivals_replays_cleanly(self):
+        """A horizon too short for a single arrival is an empty, green
+        replay, not a crash."""
+        run = run_chaos_schedule(ChaosConfig(
+            service=small_service_config(), base_rate=0.5, horizon_s=0.2,
+            events=0), seed=0)
+        assert run["arrivals"] == 0 and run["submitted"] == 0
+        assert run["ok"]
+
     def test_storm_arrivals_multiply_inside_the_window(self):
         config = ChaosConfig(service=small_service_config(),
                              base_rate=200.0, horizon_s=2.0)
         schedule = ChaosSchedule(events=[
             ChaosEvent(kind="storm", start=0.5, duration=1.0,
                        magnitude=5.0)])
-        times = chaos_arrivals(config, schedule,
-                               np.random.default_rng(17))
+        times = storm_arrivals(config.rate(), schedule.rate_multiplier,
+                               config.horizon_s, np.random.default_rng(17))
         inside = ((times >= 0.5) & (times < 1.5)).sum()
         outside = len(times) - inside
         assert inside > 2 * outside                # 5x rate in half the time
@@ -207,13 +219,14 @@ class TestChaosReplay:
         bounded queue must shed, and every shed is accounted for."""
         config = small_service_config()
         clock = ManualClock()
-        service = build_overload_service(config, clock)
-        pipeline = _pipeline(config, service, resilient=True)
+        service = build_mlp_service(config, clock, config.member_seconds)
+        pipeline = build_pipeline(service, config,
+                                  **resilience_knobs(config, True))
         schedule = ChaosSchedule(events=[
             ChaosEvent(kind="stall", start=0.0, duration=0.6)])
         rng = np.random.default_rng(19)
         arrivals = np.cumsum(rng.exponential(1 / 400.0, size=200))
-        payloads = _payloads(config, len(arrivals), rng)
+        payloads = make_payloads(config, len(arrivals), rng)
 
         def unstall(t):
             for event in schedule.of_kind("stall"):

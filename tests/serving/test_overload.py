@@ -13,7 +13,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.experiments.serve_load import LoadConfig, arrival_times
+from repro.experiments.load_engine import arrival_times
+from repro.experiments.serve_load import LoadConfig
 from repro.experiments.serve_overload import (
     OverloadConfig,
     analytic_capacity,
@@ -403,15 +404,14 @@ class TestBrownoutPipeline:
 
 # ----------------------------------------------------------------------
 class TestArrivalProfiles:
-    """The load harness's ramp and burst arrival generators."""
+    """The load engine's ramp and burst arrival profiles."""
 
     def rng(self):
         return np.random.default_rng(7)
 
     def test_ramp_sweeps_the_mean_rate(self):
-        config = LoadConfig(requests=4000, arrival="ramp",
-                            rate=100.0, rate_end=2000.0)
-        times = arrival_times(config, self.rng())
+        times = arrival_times("ramp", 4000, 100.0, self.rng(),
+                              rate_end=2000.0)
         assert times.shape == (4000,)
         assert np.all(np.diff(times) > 0)
         first, last = times[:1000], times[-1000:]
@@ -420,11 +420,10 @@ class TestArrivalProfiles:
         assert late > 4 * early                    # the rate really swept
 
     def test_burst_confines_arrivals_to_the_duty_cycle(self):
-        config = LoadConfig(requests=2000, arrival="burst", rate=1000.0,
-                            burst_period_s=0.1, burst_duty=0.3)
-        times = arrival_times(config, self.rng())
-        phase = np.mod(times, config.burst_period_s)
-        assert np.all(phase <= config.burst_period_s * config.burst_duty)
+        times = arrival_times("burst", 2000, 1000.0, self.rng(),
+                              burst_period_s=0.1, burst_duty=0.3)
+        phase = np.mod(times, 0.1)
+        assert np.all(phase <= 0.1 * 0.3)
         assert np.all(np.diff(times) >= 0)
         assert times.shape == (2000,)
 

@@ -1,5 +1,7 @@
 """Command-line interface behaviour."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -237,3 +239,36 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert "unknown spec field" in err
         assert "Traceback" not in err
+
+
+class TestServeSuites:
+    """The serve-* suites exit 0, print their table and write the JSON."""
+
+    def test_serve_load(self, capsys, tmp_path):
+        code = main(["serve-load", "--sizes", "1", "--requests", "16",
+                     "--clients", "2", "--results", str(tmp_path)])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "bit-parity (batched == solo): ok" in output
+        payload = json.loads((tmp_path / "BENCH_serving.json").read_text())
+        assert payload["parity_ok"]
+        (open_cell,) = [cell for cell in payload["cells"]
+                        if cell["arrival"] == "open"]
+        window = open_cell["config"]["max_wait_ms"]
+        assert open_cell["open_loop"]["queueing_delay_ms"]["max"] <= \
+            window + 1e-9
+
+    def test_serve_overload(self, capsys, tmp_path):
+        code = main(["serve-overload", "--results", str(tmp_path)])
+        assert code == 0
+        assert "acceptance:" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "BENCH_overload.json").read_text())
+        assert payload["ok"]
+
+    def test_serve_chaos(self, capsys, tmp_path):
+        code = main(["serve-chaos", "--schedules", "2", "--horizon", "0.5",
+                     "--results", str(tmp_path)])
+        assert code == 0
+        assert "all invariants held" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "CHAOS_serving.json").read_text())
+        assert payload["schedules"] == 2 and payload["ok"]
