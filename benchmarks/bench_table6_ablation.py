@@ -8,8 +8,8 @@ Paper (C100, ResNet-32):
 | EDDE (transfer none)   | 70.78% | 0.1854 | 66.72% |
 | AdaBoost.NC (transfer) | 72.64% | 0.1573 | 67.33% |
 
-Each ablation is a named *case bundle* of the grid (method + config
-overrides, or a variant runner for the beyond-paper cases).  Expected
+Each ablation is a named *case bundle* of the grid: a method plus
+``EDDEConfig``/baseline config overrides.  Expected
 shape: transfer-none has the highest raw diversity but the worst member
 and ensemble accuracy; transfer-all the opposite; full EDDE the best
 ensemble accuracy.  Set ``REPRO_EXTENDED_ABLATION=1`` for the two
@@ -43,8 +43,10 @@ CASES = {
                              "overrides": {"transfer": True}},
 }
 EXTENDED_CASES = {
-    "cumulative_weights": {"runner": "edde_cumulative_weights"},
-    "correlate_previous": {"runner": "edde_correlate_previous_model"},
+    "cumulative_weights": {"method": "edde", "overrides": {
+        "update_weights_from_initial": False}},
+    "correlate_previous": {"method": "edde", "overrides": {
+        "correlate_target": "previous"}},
 }
 LABELS = {
     "edde": "EDDE",

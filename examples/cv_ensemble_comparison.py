@@ -9,7 +9,8 @@ lines.  Takes several minutes on a laptop CPU; shrink via env vars, e.g.
 
 from repro.analysis import format_table, percent, render_curves
 from repro.core import ensemble_diversity
-from repro.experiments import build_scenario, run_effectiveness
+from repro.experiments import build_scenario, run_method
+from repro.utils import new_rng, spawn_rng
 
 METHODS = ("single", "snapshot", "bans", "edde")
 
@@ -19,10 +20,12 @@ def main() -> None:
     print(f"scenario: {scenario.name}, budget {scenario.total_budget} epochs, "
           f"gamma={scenario.gamma}, beta={scenario.beta}")
 
-    results = run_effectiveness(scenario, methods=METHODS, rng=0)
+    rng = new_rng(0)
+    results = [run_method(method, scenario, rng=spawn_rng(rng))
+               for method in METHODS]
 
     rows = []
-    for result in results.values():
+    for result in results:
         diversity = float("nan")
         if len(result.ensemble) >= 2:
             probs = result.ensemble.member_probs(scenario.split.test.x)
@@ -37,7 +40,7 @@ def main() -> None:
         rows, title="Ensemble methods on synthetic CIFAR-100 (ResNet)"))
 
     print()
-    print(render_curves(list(results.values()),
+    print(render_curves(results,
                         title="Ensemble accuracy vs cumulative epochs"))
 
 

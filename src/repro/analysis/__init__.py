@@ -19,7 +19,7 @@ from repro.analysis.curves import (
     render_curves,
     speedup_over,
 )
-from repro.analysis.reporting import format_table, paper_vs_measured, percent
+from repro.analysis.reporting import format_table, percent
 
 __all__ = [
     "BiasVariance",
@@ -37,5 +37,4 @@ __all__ = [
     "curve_table",
     "format_table",
     "percent",
-    "paper_vs_measured",
 ]

@@ -86,9 +86,10 @@ from typing import List, Optional
 
 from repro.analysis import format_table, percent
 from repro.core import CheckpointError, ensemble_diversity, save_ensemble
-from repro.experiments import ALL_METHODS, build_scenario, run_effectiveness, run_method
+from repro.experiments import ALL_METHODS, build_scenario, run_method
 from repro.experiments.runner import make_fault_tolerance
 from repro.models import available_models
+from repro.utils.rng import new_rng, spawn_rng
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -518,11 +519,12 @@ def _cmd_lint(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = build_scenario(args.scenario, rng=args.seed)
-    methods = tuple(args.methods.split(","))
-    results = run_effectiveness(scenario, methods=methods, rng=args.seed)
+    rng = new_rng(args.seed)
+    results = [run_method(method, scenario, rng=spawn_rng(rng))
+               for method in args.methods.split(",")]
     rows = [[r.method, percent(r.final_accuracy),
              percent(r.average_member_accuracy()), r.total_epochs]
-            for r in results.values()]
+            for r in results]
     print(format_table(["Method", "Ensemble acc", "Avg member", "Epochs"],
                        rows, title=f"Comparison on {args.scenario}"))
     return 0

@@ -143,16 +143,16 @@ class FaultTolerance:
     retry: Optional[RetryPolicy] = None
 
 
-def _jsonable(value):
+def jsonable(value):
     """Recursively coerce numpy scalars/arrays so ``json.dumps`` accepts them."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
+        return {str(key): jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
+        return [jsonable(item) for item in value]
     return value
 
 
@@ -187,7 +187,7 @@ class CheckpointManager(Callback):
             "cumulative_epochs": engine.cumulative_epochs,
             "members": [asdict(member) for member in engine.result.members],
             "curve": [asdict(point) for point in engine.result.curve],
-            "metadata": _jsonable(engine.result.metadata),
+            "metadata": jsonable(engine.result.metadata),
             "rng_state": engine.rng.bit_generator.state
             if engine.rng is not None else None,
             "method": engine.result.method,
@@ -212,7 +212,7 @@ class CheckpointManager(Callback):
             "cumulative_epochs": 0,
             "members": [],
             "curve": [],
-            "metadata": _jsonable(metadata or {}),
+            "metadata": jsonable(metadata or {}),
             "rng_state": None,
             "method": method,
         }

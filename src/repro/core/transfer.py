@@ -9,8 +9,10 @@ Two halves:
   The cut is made at *module* granularity (a conv and its batch norm move
   together, with their running statistics) at the largest prefix whose
   scalar-parameter share does not exceed β.
-* :func:`beta_probe` / :func:`select_beta` — the fold-based procedure of
-  Fig. 4: train a teacher on folds 1..n−1, hatch students at decreasing β
+* :func:`train_fold_teacher` / :func:`beta_probe` / :func:`select_beta` —
+  the fold-based procedure of Fig. 4: train a teacher on folds 1..n−1
+  (the one fold-teacher step shared by :func:`select_beta` and the grid's
+  Fig. 5 ``beta_probe`` runner), hatch students at decreasing β
   trained on folds 1..n−2, and compare their early accuracy on fold n−1
   (seen only by the teacher — inherited specific knowledge shows up here)
   versus fold n (seen by nobody).  β is chosen as the largest value whose
@@ -21,7 +23,7 @@ Two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -134,6 +136,34 @@ class BetaSelection:
     probes: List[BetaProbeResult] = field(default_factory=list)
 
 
+def train_fold_teacher(factory, dataset, n_folds: int, epochs: int,
+                       lr: float, batch_size: int,
+                       augment: Optional[Callable] = None,
+                       rng: RngLike = None):
+    """Split ``dataset`` into ``n_folds`` and train Fig. 4's teacher.
+
+    The teacher trains on folds ``1..n−1``.  Returns ``(teacher,
+    train_folds, seen_fold, unseen_fold)``: folds ``1..n−2`` (the
+    students' training set), fold ``n−1`` (seen by the teacher only) and
+    fold ``n`` (seen by nobody).  ``rng`` is drawn in a fixed order —
+    fold split, teacher construction, teacher training — so callers that
+    share a generator stay reproducible.
+    """
+    from repro.core.trainer import TrainingConfig, train_model
+    from repro.data.folds import merge_folds, split_folds
+
+    rng = new_rng(rng)
+    folds = split_folds(dataset, n_folds, rng=rng)
+    train_folds, seen_fold, unseen_fold = folds[:-2], folds[-2], folds[-1]
+    teacher = factory.build(rng=rng)
+    teacher_set = merge_folds(train_folds + [seen_fold],
+                              name="beta-teacher-train")
+    config = TrainingConfig(epochs=epochs, lr=lr, batch_size=batch_size,
+                            augment=augment)
+    train_model(teacher, teacher_set, config, rng=rng)
+    return teacher, train_folds, seen_fold, unseen_fold
+
+
 def beta_probe(
     factory,
     dataset,
@@ -201,20 +231,14 @@ def select_beta(
     first base model, then reuses it for all later rounds — callers should
     do the same.
     """
-    from repro.core.trainer import TrainingConfig, train_model
-    from repro.data.folds import merge_folds, split_folds
-
     rng = new_rng(rng)
     if betas is None:
         betas = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
     betas = sorted(set(betas), reverse=True)
 
-    folds = split_folds(dataset, n_folds, rng=rng)
-    train_folds, seen_fold, unseen_fold = folds[:-2], folds[-2], folds[-1]
-    teacher = factory.build(rng=rng)
-    teacher_set = merge_folds(train_folds + [seen_fold], name="beta-teacher-train")
-    config = TrainingConfig(epochs=teacher_epochs, lr=lr, batch_size=batch_size)
-    train_model(teacher, teacher_set, config, rng=rng)
+    teacher, train_folds, seen_fold, unseen_fold = train_fold_teacher(
+        factory, dataset, n_folds, epochs=teacher_epochs, lr=lr,
+        batch_size=batch_size, rng=rng)
 
     probes: List[BetaProbeResult] = []
     chosen = betas[-1]

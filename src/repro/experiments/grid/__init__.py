@@ -32,7 +32,12 @@ from repro.experiments.grid.executor import (
     grid_result,
     run_grid,
 )
-from repro.experiments.grid.replicate import compare_replicated, run_replicated
+from repro.experiments.grid.replicate import (
+    ReplicatedResult,
+    compare_replicated,
+    run_replicated,
+    significantly_better,
+)
 from repro.experiments.grid.reporting import (
     emit,
     ensure_results_dir,
@@ -54,20 +59,19 @@ from repro.experiments.grid.spec import (
     GridSpec,
     GridSpecError,
     RunSpec,
-    expand_runs,
     stable_digest,
 )
 
 __all__ = [
     "GridExecutor", "GridResult", "GridSpec", "GridSpecError",
-    "GridStateError", "RunContext", "RunOutput", "RunRecord", "RunSpec",
-    "aggregate_records", "beta_teacher_rng", "collect_records",
-    "compare_replicated", "emit",
-    "ensure_results_dir", "execute_run", "expand_runs", "find_group",
+    "GridStateError", "ReplicatedResult", "RunContext", "RunOutput",
+    "RunRecord", "RunSpec", "aggregate_records", "beta_teacher_rng",
+    "collect_records", "compare_replicated", "emit",
+    "ensure_results_dir", "execute_run", "find_group",
     "grid_result", "record_fit_result", "register_collector",
     "register_runner", "register_scenario", "resolve_collector",
     "resolve_runner", "resolve_scenario", "run_grid", "run_replicated",
     "run_rng", "sample_std", "scenario_scope", "significance_matrix",
-    "stable_digest", "standard_error", "write_grid_artifact", "write_json",
-    "z_screen",
+    "significantly_better", "stable_digest", "standard_error",
+    "write_grid_artifact", "write_json", "z_screen",
 ]

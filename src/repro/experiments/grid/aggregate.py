@@ -180,16 +180,3 @@ def _as_row(record) -> dict:
                 "metrics": dict(record.get("metrics", {}))}
     return {"index": record.index, "status": record.status,
             "factors": dict(record.factors), "metrics": dict(record.metrics)}
-
-
-def jsonable(value: Any):
-    """Recursively coerce numpy scalars/arrays for ``json.dumps``."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(key): jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
-    return value

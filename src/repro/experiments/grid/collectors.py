@@ -16,8 +16,8 @@ from typing import Any, Callable, Dict
 
 from repro.analysis.bias_variance import zero_one_decomposition
 from repro.analysis.similarity import ensemble_div_h, ensemble_similarity_matrix
+from repro.core.checkpointing import jsonable
 from repro.core.results import CurvePoint, FitResult
-from repro.experiments.grid.aggregate import jsonable
 from repro.experiments.grid.spec import RunSpec
 from repro.experiments.protocol import Scenario
 

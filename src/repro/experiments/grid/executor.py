@@ -34,11 +34,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.grid.aggregate import (
-    aggregate_records,
-    jsonable,
-    significance_matrix,
-)
+from repro.core.checkpointing import jsonable
+from repro.experiments.grid.aggregate import aggregate_records, significance_matrix
 from repro.experiments.grid.runners import RunContext, resolve_runner
 from repro.experiments.grid.spec import GridSpec, RunSpec
 

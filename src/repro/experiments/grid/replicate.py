@@ -1,24 +1,75 @@
 """Multi-seed replication as a thin grid over the ``seed`` factor.
 
-These used to hand-roll their own seed loops in
-``repro.experiments.replication``; they are now the smallest possible
-grids — one method (or several) × the seed list, executed in memory with
-rich results retained — and return the same
-:class:`~repro.experiments.replication.ReplicatedResult` the analysis
-helpers and tests consume.
+Every accuracy in the paper's tables is a single training run; at the
+scaled-down budgets of this reproduction, single-seed differences of
+±1-2 points are within noise (EXPERIMENTS.md).  :func:`run_replicated`
+and :func:`compare_replicated` are the smallest possible grids — one
+method (or several) × the seed list, executed in memory with rich
+results retained — and return a :class:`ReplicatedResult` per method:
+mean ± sample std across seeds, computed with the same statistics
+(:mod:`~repro.experiments.grid.aggregate`) as every grid aggregate, so
+claims like "EDDE beats Snapshot" can be checked with error bars.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.core.results import FitResult
+from repro.experiments.grid.aggregate import (
+    sample_std,
+    standard_error,
+    z_screen,
+)
 from repro.experiments.grid.executor import run_grid
 from repro.experiments.grid.runners import scenario_scope
 from repro.experiments.grid.spec import GridSpec
 from repro.experiments.protocol import Scenario
-from repro.experiments.replication import ReplicatedResult
 
 _SCOPE = "replicate-scenario"
+
+
+@dataclass
+class ReplicatedResult:
+    """Aggregate of one method across seeds."""
+
+    method: str
+    accuracies: List[float] = field(default_factory=list)
+    member_averages: List[float] = field(default_factory=list)
+    results: List[FitResult] = field(default_factory=list)
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.accuracies))
+
+    @property
+    def std(self) -> float:
+        """Sample standard deviation (``ddof=1``); 0.0 for n < 2."""
+        return sample_std(self.accuracies)
+
+    @property
+    def stderr(self) -> float:
+        return standard_error(self.accuracies)
+
+    def summary(self) -> str:
+        return (f"{self.method}: {self.mean:.4f} ± {self.std:.4f} "
+                f"(n={len(self.accuracies)})")
+
+
+def significantly_better(a: ReplicatedResult, b: ReplicatedResult,
+                         z: float = 1.0) -> bool:
+    """Whether ``a``'s mean exceeds ``b``'s by ``z`` combined stderrs.
+
+    The :func:`~repro.experiments.grid.aggregate.z_screen` of the grid's
+    significance matrix, with its guard: a side with fewer than 2 seeds
+    has no spread estimate, so the pair is never called significant.
+    """
+    if len(a.accuracies) < 2 or len(b.accuracies) < 2:
+        return False
+    return z_screen(a.mean, a.stderr, b.mean, b.stderr, z=z)
 
 
 def _replicate_grid(methods: Sequence[str], seeds: Sequence[int],

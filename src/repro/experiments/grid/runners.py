@@ -6,9 +6,7 @@ run's ensemble method via :func:`repro.experiments.runner.run_method`
 under PR 2's fault tolerance (per-run round checkpoints, engine-level
 resume after a kill) and hands the :class:`~repro.core.results.FitResult`
 to the run's metric collector.  ``"beta_probe"`` reproduces Fig. 5's
-teacher/probe protocol one β per run, and the two beyond-paper ablation
-variants from :mod:`repro.experiments.variants` are registered so Table
-VI's extended cases are plain grid cells.
+teacher/probe protocol one β per run.
 
 Per-run RNG derivation is the crux of shard-independence: every run's
 generator is seeded from a :class:`numpy.random.SeedSequence` built out
@@ -37,10 +35,6 @@ from repro.experiments.grid.collectors import resolve_collector
 from repro.experiments.grid.spec import GridSpec, RunSpec, stable_digest
 from repro.experiments.protocol import Scenario, build_scenario
 from repro.experiments.runner import run_method
-from repro.experiments.variants import (
-    run_edde_correlate_previous_model,
-    run_edde_cumulative_weights,
-)
 
 
 @dataclass
@@ -158,7 +152,7 @@ def beta_teacher_rng(run: RunSpec) -> np.random.Generator:
     Derived from a cell that excludes every runner-consumed factor
     (:data:`BETA_PROBE_CONSUMED`), so grid cells differing only in β —
     or in probe length — retrain a bit-identical teacher on an identical
-    fold split, exactly like the shared teacher of ``run_beta_sweep``.
+    fold split, as if one teacher were shared across the β sweep.
     """
     return run_rng(run, salt="beta-teacher", exclude=BETA_PROBE_CONSUMED)
 
@@ -221,9 +215,7 @@ def method_runner(run: RunSpec, context: RunContext) -> RunOutput:
 
 def beta_probe_runner(run: RunSpec, context: RunContext) -> RunOutput:
     """Train the fold teacher and probe one β (paper Sec. IV-B / Fig. 5)."""
-    from repro.core.trainer import TrainingConfig, train_model
-    from repro.core.transfer import beta_probe
-    from repro.data.folds import merge_folds, split_folds
+    from repro.core.transfer import beta_probe, train_fold_teacher
 
     overrides = run.override_dict
     # A declared ``beta`` factor lands in overrides too; consume it here.
@@ -238,19 +230,12 @@ def beta_probe_runner(run: RunSpec, context: RunContext) -> RunOutput:
     scenario = resolve_scenario(run.scenario, context.spec.data_seed)
     # The teacher's stream is β-free by construction: every β cell of one
     # (scenario, seed) group retrains the *same* teacher on the same fold
-    # split, exactly like run_beta_sweep, yet stays parallelizable.
-    teacher_rng = beta_teacher_rng(run)
-    folds = split_folds(scenario.split.train, n_folds, rng=teacher_rng)
-    train_folds, seen_fold, unseen_fold = folds[:-2], folds[-2], folds[-1]
-
-    teacher = scenario.factory.build(rng=teacher_rng)
-    teacher_set = merge_folds(train_folds + [seen_fold],
-                              name=f"{run.grid}-teacher")
-    teacher_epochs = teacher_epochs or max(2, scenario.epochs_per_model)
-    config = TrainingConfig(epochs=int(teacher_epochs), lr=scenario.lr,
-                            batch_size=scenario.batch_size,
-                            augment=scenario.augment)
-    train_model(teacher, teacher_set, config, rng=teacher_rng)
+    # split, yet the cells stay independent and parallelizable.
+    teacher, train_folds, seen_fold, unseen_fold = train_fold_teacher(
+        scenario.factory, scenario.split.train, n_folds,
+        epochs=int(teacher_epochs or max(2, scenario.epochs_per_model)),
+        lr=scenario.lr, batch_size=scenario.batch_size,
+        augment=scenario.augment, rng=beta_teacher_rng(run))
 
     probe = beta_probe(
         scenario.factory, scenario.split.train, beta, teacher,
@@ -450,27 +435,9 @@ def serve_chaos_runner(run: RunSpec, context: RunContext) -> RunOutput:
                      result=payload if context.keep_result else None)
 
 
-# ----------------------------------------------------------------------
-# Beyond-paper EDDE variants (Table VI, REPRO_EXTENDED_ABLATION=1).
-
-def _variant_runner(variant_fn) -> RunnerFn:
-    def runner(run: RunSpec, context: RunContext) -> RunOutput:
-        scenario = resolve_scenario(run.scenario, context.spec.data_seed)
-        result = variant_fn(scenario, rng=run_rng(run), **run.override_dict)
-        metrics = resolve_collector(run.collect)(run, result, scenario)
-        return RunOutput(metrics=metrics,
-                         meta={"method_label": result.method},
-                         result=result if context.keep_result else None)
-    return runner
-
-
 register_runner("method", method_runner)
 register_runner("beta_probe", beta_probe_runner)
 register_runner("serve_drift", serve_drift_runner)
 register_runner("serving_load", serving_load_runner)
 register_runner("serve_overload", serve_overload_runner)
 register_runner("serve_chaos", serve_chaos_runner)
-register_runner("edde_cumulative_weights",
-                _variant_runner(run_edde_cumulative_weights))
-register_runner("edde_correlate_previous_model",
-                _variant_runner(run_edde_correlate_previous_model))

@@ -31,7 +31,7 @@ import itertools
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 RESERVED_FACTORS = ("method", "scenario", "seed", "case")
 
@@ -283,8 +283,3 @@ class GridSpec:
             seed=int(assignment.get("seed", 0)),
             overrides=_freeze(overrides), runner=str(runner),
             collect=str(self.collect))
-
-
-def expand_runs(spec: GridSpec) -> List[RunSpec]:
-    """Module-level alias for :meth:`GridSpec.expand` (reads better in docs)."""
-    return spec.expand()

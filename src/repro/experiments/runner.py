@@ -1,20 +1,18 @@
-"""Experiment runners: one function per paper table/figure.
+"""Method dispatch: fit any ensemble method on a protocol scenario.
 
-Each runner takes a :class:`~repro.experiments.protocol.Scenario` plus an
-RNG seed and returns plain data structures that the corresponding
-``benchmarks/bench_*.py`` renders.  Keeping the runners inside the library
-(rather than in the benches) makes them importable from user code and from
-the test-suite.
+:func:`run_method` is the single entry point every experiment path goes
+through — the grid's ``"method"`` runner (and with it every paper table
+and figure bench), the ``repro train``/``repro compare`` commands and
+the perf benchmark.  :func:`make_edde_config` and ``_baseline_config``
+turn a :class:`~repro.experiments.protocol.Scenario` plus keyword
+overrides into the method's config dataclass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import dataclasses
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.analysis.bias_variance import BiasVariance, zero_one_decomposition
-from repro.analysis.similarity import ensemble_div_h, ensemble_similarity_matrix
 from repro.baselines import (
     AdaBoostM1,
     AdaBoostNC,
@@ -36,11 +34,8 @@ from repro.core.checkpointing import (
     RetryPolicy,
 )
 from repro.core.results import FitResult
-from repro.core.transfer import BetaProbeResult, beta_probe
-from repro.data.folds import merge_folds, split_folds
-from repro.core.trainer import TrainingConfig, train_model
 from repro.experiments.protocol import Scenario
-from repro.utils.rng import RngLike, new_rng, spawn_rng
+from repro.utils.rng import RngLike, new_rng
 
 ALL_METHODS = ("single", "bans", "bagging", "adaboost_m1", "adaboost_nc",
                "snapshot", "edde")
@@ -55,9 +50,7 @@ def _baseline_config(scenario: Scenario, cls=BaselineConfig, **overrides):
         weight_decay=scenario.weight_decay,
         augment=scenario.augment,
     )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    return _apply_overrides(config, overrides)
 
 
 def make_edde_config(scenario: Scenario, budget: Optional[int] = None,
@@ -81,6 +74,20 @@ def make_edde_config(scenario: Scenario, budget: Optional[int] = None,
         weight_decay=scenario.weight_decay,
         augment=scenario.augment,
     )
+    return _apply_overrides(config, overrides)
+
+
+def _apply_overrides(config, overrides: dict):
+    """Set ``overrides`` on a config dataclass, rejecting unknown names.
+
+    A misspelled override (``gama=0.0``) would otherwise become a stray
+    attribute while the run silently trains at the default.
+    """
+    known = {field.name for field in dataclasses.fields(config)}
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise ValueError(f"unknown {type(config).__name__} override(s): "
+                         f"{', '.join(unknown)}")
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
@@ -117,8 +124,6 @@ def make_fault_tolerance(scenario: Scenario,
 def run_method(method: str, scenario: Scenario, rng: RngLike = 0,
                callbacks: Optional[Sequence] = None,
                fault_tolerance: Optional[FaultTolerance] = None,
-               checkpoint_dir=None, resume: bool = False,
-               keep_last: int = 3, max_retries: Optional[int] = None,
                profile_ops: bool = False,
                **overrides) -> FitResult:
     """Fit one method on a scenario; ``overrides`` adjust its config.
@@ -127,19 +132,14 @@ def run_method(method: str, scenario: Scenario, rng: RngLike = 0,
     instances forwarded to the method's
     :class:`~repro.core.engine.EnsembleEngine` — every method runs through
     the same engine, so the same callbacks work across all of them.  The
-    same holds for fault tolerance: pass a prebuilt
-    :class:`~repro.core.checkpointing.FaultTolerance`, or let the
-    convenience keywords (``checkpoint_dir``/``resume``/``keep_last``/
-    ``max_retries``) build one via :func:`make_fault_tolerance`.
+    same holds for fault tolerance: ``fault_tolerance`` (a
+    :class:`~repro.core.checkpointing.FaultTolerance`, e.g. from
+    :func:`make_fault_tolerance`) is passed straight to ``fit``.
 
     ``profile_ops=True`` wraps the whole fit in the op profiler
     (:func:`repro.ops.profile_ops`) and stores the per-op summary in
     ``result.metadata["op_profile"]``.
     """
-    if fault_tolerance is None:
-        fault_tolerance = make_fault_tolerance(
-            scenario, checkpoint_dir=checkpoint_dir, resume=resume,
-            keep_last=keep_last, max_retries=max_retries)
     rng = new_rng(rng)
     train, test = scenario.split.train, scenario.split.test
 
@@ -179,156 +179,3 @@ def run_method(method: str, scenario: Scenario, rng: RngLike = 0,
         result = dispatch()
     result.metadata["op_profile"] = profiler.summary()
     return result
-
-
-def run_effectiveness(scenario: Scenario,
-                      methods: Sequence[str] = ALL_METHODS,
-                      rng: RngLike = 0) -> Dict[str, FitResult]:
-    """Tables II/III: every method at the scenario's equal budget."""
-    rng = new_rng(rng)
-    return {method: run_method(method, scenario, rng=spawn_rng(rng))
-            for method in methods}
-
-
-def run_diversity_analysis(scenario: Scenario, num_models: int = 8,
-                           rng: RngLike = 0) -> Dict[str, dict]:
-    """Table IV + Fig. 8: Snapshot vs EDDE vs AdaBoost.NC diversity.
-
-    The paper gives Snapshot and AdaBoost.NC a *larger* epoch budget (400)
-    than EDDE (250); the same ratio is kept here by letting EDDE's shorter
-    later cycles reduce its total.
-    """
-    rng = new_rng(rng)
-    test = scenario.split.test
-    outputs: Dict[str, dict] = {}
-
-    plans = {
-        "Snapshot Ensemble": ("snapshot", {"num_models": num_models}),
-        "EDDE": ("edde", {"num_models": num_models}),
-        "AdaBoost.NC": ("adaboost_nc", {"num_models": num_models}),
-    }
-    for label, (method, overrides) in plans.items():
-        result = run_method(method, scenario, rng=spawn_rng(rng), **overrides)
-        matrix = ensemble_similarity_matrix(result.ensemble, test.x,
-                                            max_models=num_models)
-        outputs[label] = {
-            "result": result,
-            "similarity_matrix": matrix,
-            "diversity": ensemble_div_h(result.ensemble, test.x,
-                                        max_models=num_models),
-            "average_accuracy": result.average_member_accuracy(),
-            "ensemble_accuracy": result.final_accuracy,
-            "increased_accuracy": result.increased_accuracy(),
-            "training_epochs": result.total_epochs,
-        }
-    return outputs
-
-
-def run_gamma_sweep(scenario: Scenario,
-                    gammas: Sequence[float] = (0.0, 0.1, 0.3, 0.5, 1.0),
-                    rng: RngLike = 0) -> Dict[float, FitResult]:
-    """Table V: ensemble accuracy as γ varies."""
-    rng = new_rng(rng)
-    seeds = [spawn_rng(rng) for _ in gammas]
-    return {gamma: run_method("edde", scenario, rng=seed, gamma=gamma)
-            for gamma, seed in zip(gammas, seeds)}
-
-
-def run_ablation(scenario: Scenario, rng: RngLike = 0,
-                 extended: bool = False) -> Dict[str, dict]:
-    """Table VI: EDDE vs its ablated variants.
-
-    ``extended=True`` adds two beyond-paper ablations flagged in DESIGN.md:
-    compounding weight updates from ``W_{t-1}`` and negative correlation
-    against only the previous *model* instead of the ensemble.
-    """
-    rng = new_rng(rng)
-    test = scenario.split.test
-
-    variants = {
-        "EDDE": {},
-        "EDDE (normal loss)": {"gamma": 0.0},
-        "EDDE (transfer all)": {"beta": 1.0},
-        "EDDE (transfer none)": {"beta": 0.0},
-    }
-    outputs: Dict[str, dict] = {}
-    for label, overrides in variants.items():
-        result = run_method("edde", scenario, rng=spawn_rng(rng), **overrides)
-        outputs[label] = _diversity_summary(result, test)
-
-    # AdaBoost.NC with full-weight transfer, at the paper's 2x budget ratio.
-    nc_result = run_method("adaboost_nc", scenario, rng=spawn_rng(rng),
-                           transfer=True)
-    outputs["AdaBoost.NC (transfer)"] = _diversity_summary(nc_result, test)
-
-    if extended:
-        from repro.experiments.variants import (
-            run_edde_correlate_previous_model,
-            run_edde_cumulative_weights,
-        )
-        cumulative = run_edde_cumulative_weights(scenario, rng=spawn_rng(rng))
-        outputs["EDDE (weights from W_{t-1})"] = _diversity_summary(cumulative, test)
-        prev_only = run_edde_correlate_previous_model(scenario, rng=spawn_rng(rng))
-        outputs["EDDE (correlate h_{t-1} only)"] = _diversity_summary(prev_only, test)
-    return outputs
-
-
-def _diversity_summary(result: FitResult, test) -> dict:
-    diversity = float("nan")
-    if len(result.ensemble) >= 2:
-        diversity = ensemble_div_h(result.ensemble, test.x)
-    return {
-        "result": result,
-        "ensemble_accuracy": result.final_accuracy,
-        "diversity": diversity,
-        "average_accuracy": result.average_member_accuracy(),
-    }
-
-
-def run_bias_variance(scenario: Scenario,
-                      methods: Sequence[str] = ("bans", "adaboost_nc",
-                                                "snapshot", "edde"),
-                      rng: RngLike = 0) -> List[BiasVariance]:
-    """Fig. 1: per-method bias/variance of base models at equal budget."""
-    rng = new_rng(rng)
-    test = scenario.split.test
-    points = []
-    for method in methods:
-        result = run_method(method, scenario, rng=spawn_rng(rng))
-        member_probs = result.ensemble.member_probs(test.x)
-        if len(member_probs) < 2:
-            continue
-        point = zero_one_decomposition(member_probs, test.y,
-                                       method=result.method)
-        points.append(point)
-    return points
-
-
-def run_beta_sweep(scenario: Scenario,
-                   betas: Sequence[float] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
-                   n_folds: int = 6,
-                   probe_epochs: int = 5,
-                   teacher_epochs: Optional[int] = None,
-                   rng: RngLike = 0) -> List[BetaProbeResult]:
-    """Fig. 5: student accuracy on the teacher-seen vs unseen fold per β."""
-    rng = new_rng(rng)
-    folds = split_folds(scenario.split.train, n_folds, rng=rng)
-    train_folds, seen_fold, unseen_fold = folds[:-2], folds[-2], folds[-1]
-
-    teacher = scenario.factory.build(rng=rng)
-    teacher_set = merge_folds(train_folds + [seen_fold], name="fig5-teacher")
-    teacher_epochs = teacher_epochs or max(2, scenario.epochs_per_model)
-    config = TrainingConfig(epochs=teacher_epochs, lr=scenario.lr,
-                            batch_size=scenario.batch_size,
-                            augment=scenario.augment)
-    train_model(teacher, teacher_set, config, rng=rng)
-
-    probes = []
-    for beta in betas:
-        probes.append(beta_probe(
-            scenario.factory, scenario.split.train, beta, teacher,
-            train_folds, seen_fold, unseen_fold,
-            probe_epochs=probe_epochs, lr=scenario.lr,
-            batch_size=scenario.batch_size, rng=spawn_rng(rng),
-        ))
-    return probes

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.experiments import ReplicatedResult, significantly_better
-from repro.experiments.grid import compare_replicated, run_replicated
+from repro.experiments.grid import (
+    ReplicatedResult,
+    compare_replicated,
+    run_replicated,
+    significantly_better,
+)
 from repro.experiments.protocol import Scenario
 
 
@@ -60,3 +64,12 @@ class TestSignificance:
         a = ReplicatedResult("a", accuracies=[0.70, 0.80])
         b = ReplicatedResult("b", accuracies=[0.72, 0.78])
         assert not significantly_better(a, b)
+
+    def test_single_seed_is_never_significant(self):
+        # One seed gives no spread estimate; the grid's significance
+        # matrix omits such pairs, and so must this screen.
+        a = ReplicatedResult("a", accuracies=[0.80])
+        b = ReplicatedResult("b", accuracies=[0.79])
+        assert not significantly_better(a, b)
+        assert not significantly_better(
+            a, ReplicatedResult("b", accuracies=[0.5, 0.52, 0.48]))
